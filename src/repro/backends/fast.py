@@ -42,9 +42,10 @@ from repro.backends import register_backend
 from repro.core.policy import CommitPolicy
 from repro.errors import SimulationError
 from repro.frontend.predictors import BimodalPredictor
-from repro.isa.instructions import AluOp, BranchCond, Opcode
+from repro.isa.instructions import InstructionClass, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, to_unsigned
+from repro.isa.semantics import ALU, ALU_EXPR, BRANCH
 from repro.memory.hierarchy import AccessResult
 from repro.memory.paging import PrivilegeLevel
 from repro.pipeline.core import FaultEvent, RunResult
@@ -72,41 +73,17 @@ _W_BRANCH, _W_JMP, _W_JMPI, _W_CLFLUSH = 4, 5, 6, 7
 _W_STOP, _W_NOP = 8, 9
 _W_CALL, _W_RET = 10, 11
 
-_ALU_FN = {
-    AluOp.ADD: lambda x, y: x + y,
-    AluOp.SUB: lambda x, y: x - y,
-    AluOp.MUL: lambda x, y: x * y,
-    AluOp.AND: lambda x, y: x & y,
-    AluOp.OR: lambda x, y: x | y,
-    AluOp.XOR: lambda x, y: x ^ y,
-    AluOp.SHL: lambda x, y: x << (y & 63),
-    AluOp.SHR: lambda x, y: x >> (y & 63),
-}
-
 
 def _compile_alu_steps():
     """Step factories with the ALU operator inlined, one per (op, form).
 
-    Compiled once at import.  Each factory builds the same closure as the
-    generic ALU arm of ``_lower_one`` — identical scoreboard math and
-    result masking — with the operator expression substituted in place of
-    the ``_ALU_FN`` lambda call, and every captured name bound as a
-    default argument.  On ALU-dense workloads that one dynamic call per
-    committed instruction is a measurable share of the dispatch loop.
-
-    MUL stays on the generic arm (different latency, rare), as does any
-    op without an entry here.  ``rhs`` doubles as the second register
-    index in the register form; shift immediates arrive pre-masked.
+    Compiled once at import from :data:`repro.isa.semantics.ALU_EXPR`,
+    with every captured name bound as a default argument: on ALU-dense
+    workloads a dynamic operator call per committed instruction is a
+    measurable share of the dispatch loop.  ``rhs`` doubles as the second
+    register index in the register form and holds the unsigned immediate
+    in the immediate form; ``lat`` is the ALU or multiplier latency.
     """
-    exprs = {
-        AluOp.ADD: ("regs[a] + regs[rhs]", "regs[a] + rhs"),
-        AluOp.SUB: ("regs[a] - regs[rhs]", "regs[a] - rhs"),
-        AluOp.AND: ("regs[a] & regs[rhs]", "regs[a] & rhs"),
-        AluOp.OR: ("regs[a] | regs[rhs]", "regs[a] | rhs"),
-        AluOp.XOR: ("regs[a] ^ regs[rhs]", "regs[a] ^ rhs"),
-        AluOp.SHL: ("regs[a] << (regs[rhs] & 63)", "regs[a] << rhs"),
-        AluOp.SHR: ("regs[a] >> (regs[rhs] & 63)", "regs[a] >> rhs"),
-    }
     reg_dep = ("        t = rt[rhs]\n"
                "        if t > s:\n"
                "            s = t\n")
@@ -136,11 +113,12 @@ def factory(backend, rd, a, rhs, lat, LN, PC, nxt):
     return step
 """
     factories = {}
-    for alu_op, (reg_expr, imm_expr) in exprs.items():
-        for is_reg, expr, dep in ((True, reg_expr, reg_dep),
-                                  (False, imm_expr, "")):
+    for alu_op, expr in ALU_EXPR.items():
+        for is_reg, y, dep in ((True, "regs[rhs]", reg_dep),
+                               (False, "rhs", "")):
             namespace = {"_M": _M}
-            exec(template.format(expr=expr, dep=dep), namespace)
+            code = expr.format(x="regs[a]", y=y)
+            exec(template.format(expr=code, dep=dep), namespace)
             factories[alu_op, is_reg] = namespace["factory"]
     return factories
 
@@ -371,7 +349,7 @@ class FastBackend:
         imm_raw = inst.imm or 0
         if op is Opcode.ALU:
             return (_W_ALU, inst.rd, inst.rs1, inst.rs2, imm_u,
-                    0, _ALU_FN[inst.alu_op])
+                    0, ALU[inst.alu_op])
         if op is Opcode.LOADIMM:
             return (_W_LOADIMM, inst.rd, 0, None, imm_u, 0, None)
         if op is Opcode.LOAD:
@@ -380,7 +358,7 @@ class FastBackend:
             return (_W_STORE, 0, inst.rs1, inst.rs2, imm_raw, 0, None)
         if op is Opcode.BRANCH:
             return (_W_BRANCH, 0, inst.rs1, inst.rs2, 0,
-                    inst.target, inst.cond)
+                    inst.target, BRANCH[inst.cond])
         if op is Opcode.JMP:
             return (_W_JMP, 0, 0, None, 0, inst.target, None)
         if op is Opcode.JMPI:
@@ -406,58 +384,12 @@ class FastBackend:
         op = inst.opcode
 
         if op is Opcode.ALU:
-            rd, a, b = inst.rd, inst.rs1, inst.rs2
-            factory = _ALU_STEPS.get((inst.alu_op, b is not None))
-            if factory is not None:
-                rhs = b if b is not None else to_unsigned(inst.imm)
-                if b is None and inst.alu_op in (AluOp.SHL, AluOp.SHR):
-                    rhs &= 63
-                return factory(self, rd, a, rhs, self._alat, line, pc, nxt)
-            fn = _ALU_FN[inst.alu_op]
-            lat = self._mlat if inst.alu_op is AluOp.MUL else self._alat
-            if b is not None:
-                def step(rd=rd, a=a, b=b, fn=fn, lat=lat, LN=line, PC=pc):
-                    if il[0] != LN:
-                        ifetch(LN, PC)
-                    regs[rd] = fn(regs[a], regs[b]) & _M
-                    f = tm[0] + fs
-                    tm[0] = f
-                    s = f + depth
-                    t = rt[a]
-                    if t > s:
-                        s = t
-                    t = rt[b]
-                    if t > s:
-                        s = t
-                    d = s + lat
-                    rt[rd] = d
-                    c = tm[1] + cs
-                    if d + 1.0 > c:
-                        c = d + 1.0
-                    tm[1] = c
-                    cn[0] += 1
-                    return nxt
-            else:
-                rhs = to_unsigned(inst.imm)
-                def step(rd=rd, a=a, rhs=rhs, fn=fn, lat=lat, LN=line, PC=pc):
-                    if il[0] != LN:
-                        ifetch(LN, PC)
-                    regs[rd] = fn(regs[a], rhs) & _M
-                    f = tm[0] + fs
-                    tm[0] = f
-                    s = f + depth
-                    t = rt[a]
-                    if t > s:
-                        s = t
-                    d = s + lat
-                    rt[rd] = d
-                    c = tm[1] + cs
-                    if d + 1.0 > c:
-                        c = d + 1.0
-                    tm[1] = c
-                    cn[0] += 1
-                    return nxt
-            return step
+            b = inst.rs2
+            rhs = b if b is not None else to_unsigned(inst.imm)
+            lat = (self._mlat if inst.inst_class is InstructionClass.MUL
+                   else self._alat)
+            return _ALU_STEPS[inst.alu_op, b is not None](
+                self, inst.rd, inst.rs1, rhs, lat, line, pc, nxt)
 
         if op is Opcode.LOADIMM:
             rd = inst.rd
@@ -1105,7 +1037,7 @@ class FastBackend:
 
         # conditional BRANCH
         a, b = inst.rs1, inst.rs2
-        cond = inst.cond
+        cond = BRANCH[inst.cond]
         tgt_idx = inst.target
         tgt_pc = program.pc_of(tgt_idx)
         predictor = self.predictor
@@ -1133,14 +1065,7 @@ class FastBackend:
                     lv -= _T64
                 if rv >= _T63:
                     rv -= _T64
-                if cond is BranchCond.EQ:
-                    taken = lv == rv
-                elif cond is BranchCond.NE:
-                    taken = lv != rv
-                elif cond is BranchCond.LT:
-                    taken = lv < rv
-                else:
-                    taken = lv >= rv
+                taken = cond(lv, rv)
                 cn[2] += 1
                 if taken:
                     if not pred:
@@ -1210,14 +1135,7 @@ class FastBackend:
                 lv -= _T64
             if rv >= _T63:
                 rv -= _T64
-            if cond is BranchCond.EQ:
-                taken = lv == rv
-            elif cond is BranchCond.NE:
-                taken = lv != rv
-            elif cond is BranchCond.LT:
-                taken = lv < rv
-            else:
-                taken = lv >= rv
+            taken = cond(lv, rv)
             cn[2] += 1
             update(PC, taken, pred)
             if taken:
@@ -1590,15 +1508,7 @@ class FastBackend:
                     lv -= _T64
                 if rv >= _T63:
                     rv -= _T64
-                cond = rec[6]
-                if cond is BranchCond.EQ:
-                    taken = lv == rv
-                elif cond is BranchCond.NE:
-                    taken = lv != rv
-                elif cond is BranchCond.LT:
-                    taken = lv < rv
-                else:
-                    taken = lv >= rv
+                taken = rec[6](lv, rv)
                 self.predictor.update(pc, taken, pred)
                 if taken:
                     self.btb.update(pc, program.pc_of(rec[5]))

@@ -235,6 +235,7 @@ def _assemble_line(builder: ProgramBuilder, line: str) -> None:
     operands = [op.strip() for op in rest.split(",")] if rest.strip() else []
 
     alu_mnemonics = {op.value for op in AluOp}
+    branch_mnemonics = {"b" + cond.value for cond in BranchCond}
     if mnemonic in alu_mnemonics:
         if len(operands) != 3:
             raise AssemblyError(f"{mnemonic} needs 3 operands: {line!r}")
@@ -257,7 +258,7 @@ def _assemble_line(builder: ProgramBuilder, line: str) -> None:
             raise AssemblyError(f"st needs '[rS+imm], rD': {line!r}")
         base, offset = _parse_mem_operand(operands[0])
         builder.store(base, operands[1], offset)
-    elif mnemonic in ("beq", "bne", "blt", "bge"):
+    elif mnemonic in branch_mnemonics:
         if len(operands) != 3:
             raise AssemblyError(f"{mnemonic} needs 3 operands: {line!r}")
         builder.branch(mnemonic[1:], operands[0], operands[1], operands[2])

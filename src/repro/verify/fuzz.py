@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.isa.assembler import ProgramBuilder
-from repro.isa.instructions import INSTRUCTION_BYTES
+from repro.isa.instructions import AluOp, BranchCond, INSTRUCTION_BYTES
 from repro.isa.program import Program
 
 # Bump when generated programs (or their memory image) change for a
@@ -46,8 +46,10 @@ from repro.isa.program import Program
 # v2: call/ret construct (call_fraction) joined the op draw.
 FUZZ_FORMAT_VERSION = 2
 
-_ALU_OPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "shr")
-_BRANCH_CONDS = ("eq", "ne", "lt", "ge")
+# rng.choice indexes these, so the enums' declaration order is part of
+# the fuzz format: reordering AluOp/BranchCond needs a version bump.
+_ALU_OPS = tuple(op.value for op in AluOp)
+_BRANCH_CONDS = tuple(cond.value for cond in BranchCond)
 
 # -- register convention ----------------------------------------------------
 R_ZERO = 0

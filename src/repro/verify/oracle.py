@@ -252,6 +252,8 @@ class ReferenceOracle:
                                regs[inst.rs2])
         return None
 
+    # _alu and _branch_taken deliberately do not use repro.isa.semantics:
+    # they are the independent reference the simulators are diffed against.
     @staticmethod
     def _alu(inst: Instruction, regs: List[int]) -> int:
         lhs = regs[inst.rs1]

@@ -25,6 +25,11 @@ from repro.exec.cache import CACHE_DIR_ENV
 from repro_testlib import build_and_run, make_load_program, make_user_machine
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long-running test (deselect with -m 'not slow')")
+
+
 @pytest.fixture(autouse=True)
 def _isolated_result_cache(tmp_path_factory, monkeypatch):
     cache_dir = tmp_path_factory.getbasetemp() / "repro-cache"

@@ -7,6 +7,7 @@ benchmarks' own conftest can never shadow it.  The pytest fixtures in
 """
 
 from repro import CommitPolicy, Machine, ProgramBuilder
+from repro.backends import DEFAULT_BACKEND
 
 DATA_BASE = 0x20000
 KERNEL_BASE = 0x80000
@@ -27,10 +28,10 @@ def make_user_machine(policy=CommitPolicy.BASELINE, data_bytes=64 * 1024,
 
 
 def build_and_run(build, policy=CommitPolicy.BASELINE, setup=None,
-                  regs=None, kernel=False, **kwargs):
+                  regs=None, kernel=False, backend=DEFAULT_BACKEND, **kwargs):
     """Build a program via ``build(builder)`` and run it on a fresh
-    machine; returns ``(machine, result)``."""
-    machine = make_user_machine(policy=policy, kernel=kernel)
+    machine of the given backend; returns ``(machine, result)``."""
+    machine = make_user_machine(policy=policy, kernel=kernel, backend=backend)
     if setup:
         setup(machine)
     b = ProgramBuilder()

@@ -9,10 +9,14 @@ import pytest
 
 from repro_testlib import DATA_BASE as DATA, KERNEL_BASE, POLICIES
 from repro import CommitPolicy, ProgramBuilder
+from repro.backends import backend_names
 from repro.memory.paging import PrivilegeLevel
 
 
 class TestAluSemantics:
+    """Every case runs on each backend: the cycle core and the fast
+    backend's compiled ALU steps both read ``repro.isa.semantics``."""
+
     @pytest.mark.parametrize("op,lhs,rhs,expected", [
         ("add", 5, 3, 8),
         ("sub", 5, 3, 2),
@@ -22,6 +26,9 @@ class TestAluSemantics:
         ("xor", 0b1100, 0b1010, 0b0110),
         ("shl", 3, 2, 12),
         ("shr", 12, 2, 3),
+        ("mul", 2**63 + 1, 3, 2**63 + 3),
+        ("shl", 1, 65, 2),
+        ("shr", 2**63, 127, 1),
     ])
     def test_register_ops(self, run_program, op, lhs, rhs, expected):
         def build(b):
@@ -29,24 +36,47 @@ class TestAluSemantics:
             b.li("r2", rhs)
             b.alu(op, "r3", "r1", "r2")
             b.halt()
-        _, result = run_program(build)
-        assert result.reg("r3") == expected
+        for backend in backend_names():
+            _, result = run_program(build, backend=backend)
+            assert result.reg("r3") == expected, backend
+
+    @pytest.mark.parametrize("op,lhs,imm,expected", [
+        ("add", 10, -3, 7),
+        ("sub", 5, -3, 8),
+        ("mul", 7, -1, 2**64 - 7),
+        ("and", 0xFF, -16, 0xF0),
+        ("or", 1, -2, 2**64 - 1),
+        ("xor", 0, -1, 2**64 - 1),
+        ("shl", 1, 65, 2),
+        ("shr", 2**63, 64, 2**63),
+        ("shr", 2**63, -1, 1),
+    ])
+    def test_immediate_ops(self, run_program, op, lhs, imm, expected):
+        def build(b):
+            b.li("r1", lhs)
+            b.alu(op, "r2", "r1", imm=imm)
+            b.halt()
+        for backend in backend_names():
+            _, result = run_program(build, backend=backend)
+            assert result.reg("r2") == expected, backend
 
     def test_sub_wraps_unsigned(self, run_program):
         def build(b):
             b.li("r1", 0)
             b.alu("sub", "r2", "r1", imm=1)
             b.halt()
-        _, result = run_program(build)
-        assert result.reg("r2") == 2**64 - 1
+        for backend in backend_names():
+            _, result = run_program(build, backend=backend)
+            assert result.reg("r2") == 2**64 - 1, backend
 
     def test_immediate_form(self, run_program):
         def build(b):
             b.li("r1", 10)
             b.alu("add", "r2", "r1", imm=7)
             b.halt()
-        _, result = run_program(build)
-        assert result.reg("r2") == 17
+        for backend in backend_names():
+            _, result = run_program(build, backend=backend)
+            assert result.reg("r2") == 17, backend
 
     def test_dependency_chain(self, run_program):
         def build(b):
@@ -54,8 +84,9 @@ class TestAluSemantics:
             for _ in range(10):
                 b.alu("add", "r1", "r1", "r1")  # doubles each time
             b.halt()
-        _, result = run_program(build)
-        assert result.reg("r1") == 1024
+        for backend in backend_names():
+            _, result = run_program(build, backend=backend)
+            assert result.reg("r1") == 1024, backend
 
 
 class TestMemorySemantics:
@@ -119,9 +150,10 @@ class TestControlFlow:
             b.label("skip")
             b.li("r3", 222)
             b.halt()
-        _, result = run_program(build)
-        assert result.reg("r2") == 0
-        assert result.reg("r3") == 222
+        for backend in backend_names():
+            _, result = run_program(build, backend=backend)
+            assert result.reg("r2") == 0, backend
+            assert result.reg("r3") == 222, backend
 
     def test_not_taken_branch_falls_through(self, run_program):
         def build(b):
@@ -130,8 +162,33 @@ class TestControlFlow:
             b.li("r2", 111)
             b.label("skip")
             b.halt()
-        _, result = run_program(build)
-        assert result.reg("r2") == 111
+        for backend in backend_names():
+            _, result = run_program(build, backend=backend)
+            assert result.reg("r2") == 111, backend
+
+    @pytest.mark.parametrize("cond,lhs,rhs,taken", [
+        ("eq", -1, 2**64 - 1, True),        # the same 64-bit word
+        ("eq", 1, -1, False),
+        ("ne", -1, 1, True),
+        ("ne", -5, 2**64 - 5, False),
+        ("lt", -1, 1, True),                # signed, not unsigned
+        ("lt", 1, -1, False),
+        ("lt", -2**63, 2**63 - 1, True),
+        ("ge", 2**63 - 1, -2**63, True),
+        ("ge", -2, -1, False),
+        ("ge", -1, -1, True),
+    ])
+    def test_signed_compare(self, run_program, cond, lhs, rhs, taken):
+        def build(b):
+            b.li("r1", lhs)
+            b.li("r2", rhs)
+            b.branch(cond, "r1", "r2", "skip")
+            b.li("r3", 111)
+            b.label("skip")
+            b.halt()
+        for backend in backend_names():
+            _, result = run_program(build, backend=backend)
+            assert result.reg("r3") == (0 if taken else 111), backend
 
     def test_loop_counts_correctly(self, run_program):
         def build(b):
@@ -142,8 +199,9 @@ class TestControlFlow:
             b.alu("sub", "r1", "r1", imm=1)
             b.branch("ne", "r1", "r0", "loop")
             b.halt()
-        _, result = run_program(build)
-        assert result.reg("r2") == 30
+        for backend in backend_names():
+            _, result = run_program(build, backend=backend)
+            assert result.reg("r2") == 30, backend
 
     def test_jmp(self, run_program):
         def build(b):

@@ -1,5 +1,7 @@
 """Unit tests for the ISA: instructions, programs, assembler, builder."""
 
+import itertools
+
 import pytest
 
 from repro.errors import AssemblyError
@@ -8,6 +10,11 @@ from repro.isa.instructions import (AluOp, BranchCond, INSTRUCTION_BYTES,
                                     Instruction, InstructionClass, Opcode)
 from repro.isa.program import Program
 from repro.isa.registers import (register_index, to_signed, to_unsigned)
+from repro.isa import semantics
+from repro.verify.oracle import ReferenceOracle
+
+EDGE_WORDS = (0, 1, 63, 64, 65, 2**63 - 1, 2**63, 2**64 - 1)
+NEGATIVE_IMMS = (-1, -63, -64, -65, -2**63)
 
 
 class TestRegisters:
@@ -27,6 +34,38 @@ class TestRegisters:
     def test_unsigned_truncation(self):
         assert to_unsigned(-1) == 2**64 - 1
         assert to_unsigned(2**64 + 3) == 3
+
+
+class TestSemanticsTable:
+    """The shared semantics table against the oracle's independent,
+    hand-written copy: a drift in either one fails here."""
+
+    def test_every_op_and_condition_present(self):
+        assert set(semantics.ALU_EXPR) == set(semantics.ALU) == set(AluOp)
+        assert set(semantics.BRANCH) == set(BranchCond)
+
+    @pytest.mark.parametrize("op", list(AluOp), ids=lambda op: op.value)
+    def test_alu_matches_oracle(self, op):
+        fn = semantics.ALU[op]
+        reg_form = Instruction(Opcode.ALU, rd=0, rs1=1, rs2=2, alu_op=op)
+        for x, y in itertools.product(EDGE_WORDS, repeat=2):
+            assert (to_unsigned(fn(x, y))
+                    == ReferenceOracle._alu(reg_form, [0, x, y])), (x, y)
+        for x, imm in itertools.product(EDGE_WORDS,
+                                        EDGE_WORDS + NEGATIVE_IMMS):
+            imm_form = Instruction(Opcode.ALU, rd=0, rs1=1, imm=imm,
+                                   alu_op=op)
+            assert (to_unsigned(fn(x, to_unsigned(imm)))
+                    == ReferenceOracle._alu(imm_form, [0, x])), (x, imm)
+
+    @pytest.mark.parametrize("cond", list(BranchCond),
+                             ids=lambda cond: cond.value)
+    def test_branch_matches_oracle(self, cond):
+        inst = Instruction(Opcode.BRANCH, rs1=1, rs2=2, cond=cond, target=0)
+        for x, y in itertools.product(EDGE_WORDS, repeat=2):
+            taken = semantics.BRANCH[cond](to_signed(x), to_signed(y))
+            assert taken == ReferenceOracle._branch_taken(inst, [0, x, y]), \
+                (x, y)
 
 
 class TestInstructionValidation:
